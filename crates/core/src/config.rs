@@ -158,15 +158,12 @@ pub struct LldConfig {
     /// (`1`/`true`/`on`/`yes`, case-insensitive; CI uses it to run the
     /// whole suite in pipelined mode).
     pub pipeline: bool,
-    /// Worker threads recovery uses to load checkpoint snapshot slabs,
-    /// scan the log suffix, and replay routed records (1..=64; default
-    /// 1 = fully serial). Purely a restart-time knob: it changes how
-    /// fast `recover` runs, never what state it reconstructs, and is
-    /// not persisted on disk. See docs/RECOVERY.md.
-    ///
-    /// The default honours the `LD_ARU_RECOVERY_THREADS` environment
-    /// variable when it holds a valid count (CI uses it to run the
-    /// whole suite with parallel recovery).
+    /// Threads recovery fans its read-only phases out over: checkpoint
+    /// slab decode and segment header scan (1..=64; default 1 = run
+    /// inline). Suffix replay is always one serial pass in log order.
+    /// Purely a restart-time knob: it changes how fast `recover` runs,
+    /// never what state it reconstructs, and is not persisted on disk.
+    /// See docs/RECOVERY.md.
     pub recovery_threads: usize,
     /// Observability: event tracing, latency histograms, and ARU spans
     /// (default on; see [`ObsConfig::disabled`]).
@@ -218,7 +215,7 @@ impl Default for LldConfig {
             read_cache_blocks: 1024,
             map_shards: default_map_shards(),
             pipeline: default_pipeline(),
-            recovery_threads: default_recovery_threads(),
+            recovery_threads: 1,
             obs: ObsConfig::default(),
             metrics_hz: default_metrics_hz(),
             dedup_capacity: default_dedup_capacity(),
@@ -230,8 +227,7 @@ impl Default for LldConfig {
 /// Maximum supported shard count (shard sets are u64 bitmasks).
 pub(crate) const MAX_MAP_SHARDS: usize = 64;
 
-/// Maximum recovery worker-pool size (matches the replay partition
-/// count ceiling in `recovery.rs`).
+/// Maximum recovery fan-out for slab decode and segment scan.
 pub(crate) const MAX_RECOVERY_THREADS: usize = 64;
 
 fn default_map_shards() -> usize {
@@ -240,14 +236,6 @@ fn default_map_shards() -> usize {
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n.is_power_of_two() && n <= MAX_MAP_SHARDS)
         .unwrap_or(8)
-}
-
-fn default_recovery_threads() -> usize {
-    std::env::var("LD_ARU_RECOVERY_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| (1..=MAX_RECOVERY_THREADS).contains(&n))
-        .unwrap_or(1)
 }
 
 /// Bounds on the write-id dedup cache capacity. The upper bound keeps

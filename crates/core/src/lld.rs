@@ -1051,8 +1051,9 @@ impl<'a, D: BlockDevice> Mutation<'a, D> {
     }
 
     // ------------------------------------------------------------------
-    // List structure manipulation (shared by ops, commit replay, and
-    // recovery replay)
+    // List structure manipulation (shared by ops and commit replay;
+    // recovery replay keeps its own copy in `recovery.rs`, without the
+    // live-segment and allocator bookkeeping)
     // ------------------------------------------------------------------
 
     /// Walks `list` in state `st`, returning the member blocks in order

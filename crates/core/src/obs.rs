@@ -856,9 +856,9 @@ impl Obs {
     }
 
     /// Completes one timed checkpoint-slab decode during recovery
-    /// (histogram only: slab loads run fanned out across the worker
-    /// pool, so phase spans are recorded separately by the
-    /// coordinator).
+    /// (histogram only: slab loads may run fanned out across scoped
+    /// threads, so the phase span is recorded separately by the
+    /// recovering thread).
     #[inline]
     pub(crate) fn recovery_slab_load(&self, timer: Option<Instant>) {
         if let Some(n) = Self::elapsed_nanos(timer) {
@@ -866,11 +866,9 @@ impl Obs {
         }
     }
 
-    /// Completes one timed replay batch during recovery (a routed
-    /// per-partition batch on a worker, or a serialized barrier record
-    /// on the coordinator).
+    /// Completes the timed suffix replay during recovery.
     #[inline]
-    pub(crate) fn recovery_replay_batch(&self, timer: Option<Instant>) {
+    pub(crate) fn recovery_replay_done(&self, timer: Option<Instant>) {
         if let Some(n) = Self::elapsed_nanos(timer) {
             self.recovery_replay.record(n);
         }

@@ -1,22 +1,22 @@
-//! Torn and stale checkpoint snapshots, serial vs parallel recovery.
+//! Torn and stale checkpoint snapshots.
 //!
 //! The sharded checkpoint (format v2) is written slab-by-slab into the
 //! inactive A/B area, so a power cut can land mid-slab, between the
 //! slab writes and the header, or after the header of a *previous*
 //! checkpoint (leaving a stale-but-valid snapshot under a newer log
-//! suffix). In every one of those states the two recovery executors —
-//! the serial in-line path (`recovery_threads: 1`) and the worker-pool
-//! path (`recovery_threads: 4`) — must reconstruct the *same* logical
-//! state, and that state must equal what a clean recovery of the
-//! untorn image produces (checkpoints are an accelerator, never an
-//! authority: the log suffix always wins).
+//! suffix). In every one of those states recovery must reconstruct the
+//! same logical state as a full-log replay of the same image with both
+//! checkpoint areas invalidated: checkpoints are an accelerator, never
+//! an authority. Each case recovers with slab decode and segment scan
+//! inline (`recovery_threads: 1`) and fanned out (`recovery_threads:
+//! 4`).
 //!
 //! * Deterministic byte-surgery cases: a mid-slab tear at 1 and at 8
 //!   map shards (whole area invalid, fall back), a tear in the newest
 //!   area after an A/B switch (fall back to the older area plus a
 //!   longer replay), and a stale snapshot under a delete/re-allocate
-//!   heavy suffix (no corruption; stresses identifier re-use in the
-//!   parallel router).
+//!   heavy suffix (no corruption; stresses identifier re-use across
+//!   the snapshot/suffix boundary).
 //! * A crash-matrix sweep (`SimDisk` byte-budget cuts) through a
 //!   workload that checkpoints repeatedly, so cuts land inside slab
 //!   writes, directory writes, and header publishes at whatever
@@ -55,7 +55,7 @@ struct World {
 
 /// Every observable of the recovered disk the workload touched: each
 /// list's walk and each block's content (None where the read fails —
-/// both executors must fail on the same deleted identifiers).
+/// two recoveries compared must fail on the same deleted identifiers).
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     walks: Vec<Option<Vec<u64>>>,
@@ -92,6 +92,17 @@ fn recover_fp(image: &[u8], shards: usize, threads: usize, world: &World) -> (Fi
     (fingerprint(&ld, world), report.checkpoint_seq)
 }
 
+/// The full-log oracle: `image` with both checkpoint areas' headers
+/// zeroed, so recovery finds no checkpoint and replays every segment.
+fn without_checkpoints(image: &[u8]) -> Vec<u8> {
+    let (layout, _, _) = Lld::probe(&MemDisk::from_image(image.to_vec())).unwrap();
+    let mut raw = image.to_vec();
+    for area in [layout.ckpt_a, layout.ckpt_b] {
+        raw[area as usize..(area + 64) as usize].fill(0);
+    }
+    raw
+}
+
 /// Builds the common image: a few populated lists (flushed), one
 /// checkpoint, then a committed suffix of overwrites, deletions, and
 /// re-allocations above it. Returns the crash image and the handles.
@@ -122,8 +133,7 @@ fn build_image(shards: usize, suffix_arus: u64) -> (Vec<u8>, World) {
     ld.checkpoint().unwrap();
 
     // Suffix: committed ARUs overwriting, deleting, and re-allocating
-    // — the record mix that exercises the parallel router's identifier
-    // re-use and fence paths.
+    // — identifiers freed and re-used above the snapshot.
     let mut live: Vec<usize> = (0..world.blocks.len()).collect();
     for i in 0..suffix_arus {
         let aru = ld.begin_aru().unwrap();
@@ -245,17 +255,18 @@ fn torn_ab_switch_falls_back_to_older_area() {
 }
 
 /// No corruption at all — just a stale snapshot under a suffix heavy
-/// with deletions and identifier re-use. Serial and parallel replay of
-/// that suffix over the loaded slabs must agree exactly.
+/// with deletions and identifier re-use. Replaying that suffix over the
+/// loaded slabs must agree exactly with replaying the whole log.
 #[test]
 fn stale_snapshot_under_reallocating_suffix() {
     let (image, world) = build_image(8, 120);
-    let (serial_fp, serial_seq) = recover_fp(&image, 8, 1, &world);
-    assert!(serial_seq > 0);
-    for &threads in &[2usize, 4] {
+    let (full_fp, full_seq) = recover_fp(&without_checkpoints(&image), 8, 1, &world);
+    assert_eq!(full_seq, 0, "checkpoint areas not invalidated");
+    // 6 threads split the 8 snapshot slabs into uneven chunks.
+    for &threads in &[1usize, 4, 6] {
         let (fp, seq) = recover_fp(&image, 8, threads, &world);
-        assert_eq!(seq, serial_seq);
-        assert_eq!(fp, serial_fp, "threads {threads}: replay diverges");
+        assert!(seq > 0, "threads {threads}: checkpoint not used");
+        assert_eq!(fp, full_fp, "threads {threads}: suffix replay diverges");
     }
 }
 
@@ -282,9 +293,9 @@ fn snapshot_shard_count_migrates() {
 
 /// Byte-budget crash sweep through a checkpoint-heavy workload: cuts
 /// land inside slab writes, the directory write, the header publish,
-/// and ordinary segment writes. Whatever survives, serial and parallel
-/// recovery agree, and everything flushed before the first checkpoint
-/// is intact.
+/// and ordinary segment writes. Whatever survives, recovery from the
+/// surviving checkpoint agrees with a full-log replay, and everything
+/// flushed before the first checkpoint is intact.
 #[test]
 fn checkpoint_write_crash_matrix() {
     for &shards in &[1usize, 8] {
@@ -326,6 +337,7 @@ fn checkpoint_write_crash_matrix() {
             .is_err();
 
             let image = ld.into_device().into_inner().into_image();
+            let (full_fp, _) = recover_fp(&without_checkpoints(&image), shards, 1, &world);
             let (fp1, seq1) = recover_fp(&image, shards, 1, &world);
             let (fp4, seq4) = recover_fp(&image, shards, 4, &world);
             assert_eq!(
@@ -333,8 +345,12 @@ fn checkpoint_write_crash_matrix() {
                 "shards {shards}, cut {crash_at}: different checkpoints"
             );
             assert_eq!(
-                fp1, fp4,
-                "shards {shards}, cut {crash_at}: executors diverge"
+                fp1, full_fp,
+                "shards {shards}, cut {crash_at}: checkpoint recovery diverges from full replay"
+            );
+            assert_eq!(
+                fp4, full_fp,
+                "shards {shards}, cut {crash_at}: fanned-out recovery diverges"
             );
             // The flushed base blocks all survive (contents may be any
             // committed round's pattern, but reads must succeed).
